@@ -20,12 +20,13 @@
 //! the loop never sees divergence and every verdict reads `false`.
 
 use click_core::registry::Library;
+use click_elements::engine::Engine;
 use click_elements::fast::FastElement;
 use click_elements::parallel::{ParallelOpts, ParallelRouter};
 use click_elements::router::Router;
 use click_elements::telemetry::{self, ReoptGauges};
 use click_opt::reopt::{
-    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, MorphTarget, ReoptPolicy, WindowOutcome,
+    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
     DEMO_BRANCHES,
 };
 use std::time::Instant;
@@ -79,10 +80,10 @@ pub struct WindowedRun {
     pub swap_windows: Vec<usize>,
 }
 
-/// Drives `windows` windows of the demo trace through a [`MorphTarget`],
+/// Drives `windows` windows of the demo trace through an [`Engine`],
 /// optionally under a reoptimization daemon.
-fn run_windows<T: MorphTarget>(
-    target: T,
+fn run_windows<E: Engine>(
+    target: E,
     daemon_policy: Option<ReoptPolicy>,
     windows: usize,
     window_packets: usize,
@@ -109,11 +110,11 @@ fn run_windows<T: MorphTarget>(
                 if matches!(outcome, WindowOutcome::SwapKept { .. }) {
                     run.swap_windows.push(w);
                 }
-                run.tx += drain_tx(daemon.target());
+                run.tx += daemon.target().drain_tx().len() as u64;
             }
             run.gauges = daemon.gauges();
             let mut target = daemon.into_target();
-            run.tx += drain_tx(&mut target);
+            run.tx += target.drain_tx().len() as u64;
             run.drops = target.drops() - drops_start;
         }
         None => {
@@ -131,23 +132,12 @@ fn run_windows<T: MorphTarget>(
                 target.settle();
                 run.ns_per_window
                     .push(t.elapsed().as_nanos() as f64 / frames.len() as f64);
-                run.tx += drain_tx(&mut target);
+                run.tx += target.drain_tx().len() as u64;
             }
             run.drops = target.drops() - drops_start;
         }
     }
     run
-}
-
-/// Drains every device's TX queue, returning the packet count.
-fn drain_tx<T: MorphTarget>(target: &mut T) -> u64 {
-    let mut tx = 0u64;
-    for name in target.device_names() {
-        if let Some(id) = target.device(&name) {
-            tx += target.take_tx(id).len() as u64;
-        }
-    }
-    tx
 }
 
 fn serial_target() -> Router<FastElement> {

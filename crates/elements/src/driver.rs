@@ -9,7 +9,10 @@
 //! drains the collected TX banks back out to the backends — with the same
 //! supervision rules (retry, backoff, health, drain deadline) and the
 //! same exact accounting: `injected == sent + router drops + device
-//! losses` at every quiescent point.
+//! losses` at every quiescent point. Every `ParallelRouter` owns one,
+//! which the [`crate::engine::Engine`] surface attaches backends to and
+//! pumps, so the sharded engine's `drops()` and checkpoint cuts cover
+//! the device layer too.
 
 use crate::batch::PacketBatch;
 use crate::iodev::{open_backend, DeviceBackend, PumpStats, SendOutcome, SupervisedDevice};
@@ -99,6 +102,11 @@ impl DeviceDriver {
     /// TX frames parked at the driver waiting for sick backends.
     pub fn pending(&self) -> usize {
         self.devs.iter().map(|d| d.pending.len()).sum()
+    }
+
+    /// TX frames parked for each device, by router device name.
+    pub(crate) fn parked(&self) -> impl Iterator<Item = (&str, &VecDeque<Packet>)> {
+        self.devs.iter().map(|d| (d.name.as_str(), &d.pending))
     }
 
     /// True once every attached RX source is exhausted.

@@ -42,6 +42,7 @@ pub mod batch;
 pub mod driver;
 pub mod element;
 pub mod elements;
+pub mod engine;
 pub mod fast;
 pub mod headers;
 pub mod iodev;
@@ -58,11 +59,12 @@ pub mod telemetry;
 
 pub use batch::{BatchEmitter, PacketBatch};
 pub use element::Element;
+pub use engine::{build_engine, restore_engine, Engine};
 pub use fast::CompiledRouter;
 pub use iodev::{DeviceBackend, DeviceHealth, IoFault, SupervisedDevice};
 pub use packet::Packet;
 pub use parallel::{ParallelOpts, ParallelRouter};
-pub use persist::{Checkpoint, CheckpointDaemon, CheckpointEngine, CheckpointStore};
+pub use persist::{Checkpoint, CheckpointDaemon, CheckpointStore};
 pub use router::{DynRouter, Router};
 pub use steer::RssSteering;
 pub use swap::{ElementState, SwapReport, TransferPlan};

@@ -70,11 +70,11 @@
 //! equivalence tests run unchanged.
 
 use crate::batch::PacketBatch;
+use crate::driver::DeviceDriver;
 use crate::element::DeviceId;
 use crate::packet::{Packet, PoolStats};
 use crate::persist::{
-    Checkpoint, CheckpointEngine, DeviceRecord, ElementRecord, EngineSnapshot, PacketRecord,
-    RestoreStats,
+    Checkpoint, DeviceRecord, ElementRecord, EngineSnapshot, PacketRecord, RestoreStats,
 };
 use crate::ring::{spsc, AdaptiveBurst, Backoff, RingConsumer, RingProducer};
 use crate::router::{Router, Slot};
@@ -705,6 +705,10 @@ pub struct ParallelRouter {
     /// `Router<S>` on the calling thread (captures the engine type `S`),
     /// so a hot swap rejects a bad config before any worker sees it.
     validate: Validator,
+    /// The device layer the [`crate::engine::Engine`] surface pumps:
+    /// backends attached through the trait live here, so the engine's
+    /// ledger and checkpoints cover their losses and parked TX.
+    pub(crate) driver: DeviceDriver,
 }
 
 impl ParallelRouter {
@@ -882,6 +886,7 @@ impl ParallelRouter {
             retained,
             make_worker,
             validate,
+            driver: DeviceDriver::new(),
         })
     }
 
@@ -974,8 +979,10 @@ impl ParallelRouter {
     /// merged by element name — counters sum, queued packets concatenate
     /// in shard order. Supervisor-held traffic (buffered injection
     /// bursts not yet handed to a shard, collected TX not yet drained by
-    /// the harness) is captured too, so the checkpoint holds every
-    /// packet the runtime owns. The reported `quiesce_ns` spans the
+    /// the harness, TX the engine's device driver parked for a blocked
+    /// backend) is captured too, so the checkpoint holds every packet
+    /// the runtime owns, and its drop ledger includes the driver's
+    /// device losses. The reported `quiesce_ns` spans the
     /// whole cut — the pause the data plane experienced.
     ///
     /// # Errors
@@ -994,6 +1001,10 @@ impl ParallelRouter {
         for &s in &live {
             self.quiesce_shard(s)?;
         }
+        // A shard can publish its last TX burst after the quiesce loop's
+        // final collect and before its idle check; every live shard is
+        // idle now, so one more collect picks that burst up.
+        self.collect();
         let mut elements: Vec<ElementRecord> = Vec::new();
         let mut devices: Vec<DeviceRecord> = self
             .devices
@@ -1034,6 +1045,13 @@ impl ParallelRouter {
                 d.rx.extend(batch.iter().map(PacketRecord::from_packet));
             }
         }
+        // TX the device driver parked for a blocked backend is older
+        // than the collected banks, so it goes first.
+        for (name, parked) in self.driver.parked() {
+            if let Some(d) = devices.iter_mut().find(|d| d.name == name) {
+                d.tx.extend(parked.iter().map(PacketRecord::from_packet));
+            }
+        }
         for (i, q) in self.tx.iter().enumerate() {
             if let Some(d) = devices.get_mut(i) {
                 d.tx.extend(q.iter().map(PacketRecord::from_packet));
@@ -1042,7 +1060,7 @@ impl ParallelRouter {
         Ok(EngineSnapshot {
             elements,
             devices,
-            total_drops: self.total_drops(),
+            total_drops: self.total_drops() + self.driver.lost(),
             quiesce_ns: t0.elapsed().as_nanos() as u64,
         })
     }
@@ -2063,16 +2081,6 @@ impl ParallelRouter {
 impl Drop for ParallelRouter {
     fn drop(&mut self) {
         self.shutdown_inner();
-    }
-}
-
-impl CheckpointEngine for ParallelRouter {
-    fn checkpoint_snapshot(&mut self) -> Result<EngineSnapshot> {
-        ParallelRouter::checkpoint_snapshot(self)
-    }
-
-    fn checkpoint_restore(&mut self, ckpt: &Checkpoint) -> Result<RestoreStats> {
-        ParallelRouter::checkpoint_restore(self, ckpt)
     }
 }
 

@@ -41,6 +41,7 @@
 //! observes a partially-written generation under its final name — and
 //! prunes generations beyond the retention bound.
 
+use crate::engine::Engine;
 use crate::packet::Packet;
 use crate::swap::ElementState;
 use click_core::error::{Error, Result};
@@ -555,30 +556,6 @@ pub struct RestoreStats {
     pub drops_topped_up: u64,
 }
 
-/// The engine-side checkpoint surface, implemented by both execution
-/// engines ([`crate::router::Router`] quiesces trivially — the caller
-/// owns the event loop — and [`crate::parallel::ParallelRouter`]
-/// quiesces every live shard through the same control-plane machinery
-/// hot swaps use).
-pub trait CheckpointEngine {
-    /// Cuts a consistent snapshot without disturbing forwarding state:
-    /// counters read, queues copied, opaque payloads handed straight
-    /// back.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Runtime`] if the engine cannot quiesce (wedged or dead
-    /// shards past the wedge timeout).
-    fn checkpoint_snapshot(&mut self) -> Result<EngineSnapshot>;
-
-    /// Applies a decoded checkpoint to this (freshly built) engine.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Runtime`] if the engine cannot reach a live shard.
-    fn checkpoint_restore(&mut self, ckpt: &Checkpoint) -> Result<RestoreStats>;
-}
-
 // ---------------------------------------------------------------------
 // Store
 // ---------------------------------------------------------------------
@@ -777,14 +754,14 @@ impl CheckpointDaemon {
     ///
     /// Snapshot or I/O failures (counted in the failure gauge); the
     /// engine keeps running either way.
-    pub fn checkpoint_now<E: CheckpointEngine + ?Sized>(
+    pub fn checkpoint_now<E: Engine + ?Sized>(
         &mut self,
         engine: &mut E,
         injected: u64,
         tx: u64,
     ) -> Result<u64> {
         self.since = 0;
-        let snap = match engine.checkpoint_snapshot() {
+        let snap = match engine.snapshot() {
             Ok(s) => s,
             Err(e) => {
                 self.gauges.checkpoint_failures += 1;

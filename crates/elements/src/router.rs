@@ -16,8 +16,7 @@ use crate::iodev::{
 };
 use crate::packet::Packet;
 use crate::persist::{
-    Checkpoint, CheckpointEngine, DeviceRecord, ElementRecord, EngineSnapshot, PacketRecord,
-    RestoreStats,
+    Checkpoint, DeviceRecord, ElementRecord, EngineSnapshot, PacketRecord, RestoreStats,
 };
 use crate::swap::{ElementState, SwapReport, TransferPlan};
 use crate::telemetry::DeviceGauges;
@@ -715,8 +714,9 @@ impl<S: Slot> Router<S> {
     /// The router's aggregate drop gauge: every element's `drops`
     /// statistic plus the engine's unconnected/reentrant drops. Monotonic
     /// across a hot swap (matched elements carry their counters over, the
-    /// engine drops transfer, and retired elements' drop counters fold
-    /// into a carryover gauge), which is what makes it usable as the
+    /// engine drops transfer, and the drop counters of retired elements,
+    /// and of matched ones whose successor starts from zero, fold into a
+    /// carryover gauge), which is what makes it usable as the
     /// canary-regression signal in
     /// [`crate::parallel::ParallelRouter::hot_swap`] and as the
     /// probation signal of the `click-morph` reoptimization loop.
@@ -773,13 +773,19 @@ impl<S: Slot> Router<S> {
         let plan = TransferPlan::compute(&self.name_class_table(), &next.name_class_table());
         let mut transferred = 0u64;
         let mut dropped = 0u64;
+        let mut retired_drops = 0u64;
         for &(oi, ni) in &plan.matched {
+            let old_drops = self.slots[oi].borrow().stat("drops").unwrap_or(0);
             if let Some(state) = self.slots[oi].borrow_mut().take_state() {
                 transferred += state.packets.len() as u64;
                 next.slots[ni].borrow_mut().restore_state(state);
             }
+            // Elements with no transferable state (the classifiers)
+            // restart their drop counter: keep what the successor did
+            // not inherit, so `total_drops` stays monotonic.
+            let inherited = next.slots[ni].borrow().stat("drops").unwrap_or(0);
+            retired_drops += old_drops.saturating_sub(inherited);
         }
-        let mut retired_drops = 0u64;
         for &oi in &plan.retired {
             // A retired element's lifetime drops would silently leave
             // the aggregate gauge; remember them so `total_drops` stays
@@ -1303,16 +1309,6 @@ impl<S: Slot> Router<S> {
             }
         }
         totals
-    }
-}
-
-impl<S: Slot> CheckpointEngine for Router<S> {
-    fn checkpoint_snapshot(&mut self) -> Result<EngineSnapshot> {
-        Ok(Router::checkpoint_snapshot(self))
-    }
-
-    fn checkpoint_restore(&mut self, ckpt: &Checkpoint) -> Result<RestoreStats> {
-        Ok(self.restore_records(&ckpt.elements, &ckpt.devices, ckpt.ledger.drops))
     }
 }
 

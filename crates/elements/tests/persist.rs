@@ -8,12 +8,17 @@ use click_core::lang::read_config;
 use click_core::registry::Library;
 use click_elements::element::{CreateCtx, Element};
 use click_elements::elements::create_element;
+use click_elements::engine::{build_engine, Engine};
+use click_elements::headers::build_udp_packet;
+use click_elements::iodev::{
+    FaultInjectBackend, HealthPolicy, MemBackend, RetryPolicy, SupervisedDevice,
+};
 use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
 use click_elements::parallel::{ParallelOpts, ParallelRouter};
 use click_elements::persist::{
     config_hash, Checkpoint, CheckpointDaemon, CheckpointLedger, CheckpointStore, ElementRecord,
-    PacketRecord,
+    EngineSnapshot, PacketRecord,
 };
 use click_elements::router::Router;
 use click_elements::swap::ElementState;
@@ -579,4 +584,84 @@ fn parallel_crash_restore_resumes_exact_ledger() {
         "the sharded ledger must balance exactly across incarnations"
     );
     r2.shutdown();
+}
+
+/// Packets an engine snapshot holds: element state plus device queues.
+fn held(snap: &EngineSnapshot) -> u64 {
+    let e: usize = snap.elements.iter().map(|r| r.packets.len()).sum();
+    let d: usize = snap.devices.iter().map(|r| r.rx.len() + r.tx.len()).sum();
+    (e + d) as u64
+}
+
+/// A cut taken while the device layer parks TX for a backend that
+/// answers would-block holds every frame offered and neither
+/// transmitted nor dropped, on both engines.
+#[test]
+fn engine_cut_holds_tx_parked_for_a_blocked_backend() {
+    let graph =
+        read_config("FromDevice(in0) -> Counter -> Queue(8192) -> ToDevice(out0);").unwrap();
+    for shards in [1, 2] {
+        let mut engine = build_engine(&graph, false, ParallelOpts::new(shards).batched(8)).unwrap();
+        // `out0` never accepts a frame and stays healthy, and its drain
+        // deadline outlives the test: its TX parks in the device layer.
+        let (inner, _wire) = MemBackend::with_handles();
+        let blocked = FaultInjectBackend::new(Box::new(inner))
+            .eagain(1.0)
+            .storm(u32::MAX);
+        let retry = RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        };
+        let health = HealthPolicy {
+            down_errors: u32::MAX,
+            drain_deadline_us: 600_000_000,
+            ..HealthPolicy::default()
+        };
+        engine
+            .attach(
+                "out0",
+                SupervisedDevice::with_policies(Box::new(blocked), retry, health),
+            )
+            .unwrap();
+        let in0 = engine.device("in0").unwrap();
+        let offered = 200u64;
+        for i in 0..offered {
+            engine.inject(in0, Packet::from_data(&[i as u8; 60]));
+        }
+        engine.settle();
+        let stats = engine.run_with_devices(3).unwrap();
+        assert_eq!(stats.tx, 0, "{shards} shard(s): the backend took nothing");
+
+        let snap = engine.snapshot().unwrap();
+        let parked: usize = snap.devices.iter().map(|d| d.tx.len()).sum();
+        assert_eq!(parked as u64, offered, "{shards} shard(s): TX parked");
+        assert_eq!(
+            held(&snap),
+            offered - stats.tx as u64 - snap.total_drops,
+            "{shards} shard(s): the cut holds every frame in flight"
+        );
+    }
+}
+
+/// A sharded cut taken while frames are in flight between threads —
+/// handed to the workers, not yet collected — holds every one of them.
+#[test]
+fn sharded_cut_holds_frames_in_flight_between_threads() {
+    let graph =
+        read_config("FromDevice(in0) -> Counter -> Queue(8192) -> ToDevice(out0);").unwrap();
+    let mut r =
+        ParallelRouter::from_graph::<Box<dyn Element>>(&graph, ParallelOpts::new(2).batched(8))
+            .unwrap();
+    let in0 = r.device_id("in0").unwrap();
+    for round in 0..500u16 {
+        for sport in 0..64u16 {
+            let p = build_udp_packet([1; 6], [2; 6], 0x0A00_0002, 0x0A00_0102, sport, 9, 18, 64);
+            r.inject(in0, p);
+        }
+        r.flush();
+        let snap = r.checkpoint_snapshot().unwrap();
+        assert_eq!(held(&snap), 64, "round {round}: the cut missed frames");
+        r.run_until_idle();
+        assert_eq!(r.drain_tx().len(), 64);
+    }
 }

@@ -31,14 +31,12 @@
 //! Build with `--features telemetry` for live counters; without it the
 //! loop observes zero divergence and stays quiet (a warning says so).
 
-use click_core::registry::Library;
-use click_elements::fast::FastElement;
-use click_elements::parallel::{ParallelOpts, ParallelRouter};
-use click_elements::router::Router;
+use click_elements::engine::{build_engine, Engine};
+use click_elements::parallel::ParallelOpts;
 use click_elements::telemetry::{self, ReoptGauges};
 use click_opt::profile::Profile;
 use click_opt::reopt::{
-    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, MorphTarget, ReoptPolicy, WindowOutcome,
+    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
     DEMO_BRANCHES, DEMO_FLOWS,
 };
 use click_opt::tool::parse_args;
@@ -63,8 +61,8 @@ struct RunSummary {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn drive<T: MorphTarget>(
-    mut daemon: MorphDaemon<T>,
+fn drive<E: Engine>(
+    mut daemon: MorphDaemon<E>,
     trace: &mut DemoTrace,
     windows: usize,
     window_packets: usize,
@@ -126,12 +124,7 @@ fn drive<T: MorphTarget>(
     }
     let gauges = daemon.gauges();
     let mut target = daemon.into_target();
-    let mut tx = 0u64;
-    for name in target.device_names() {
-        if let Some(id) = target.device(&name) {
-            tx += target.take_tx(id).len() as u64;
-        }
-    }
+    let tx = target.drain_tx().len() as u64;
     let drops = target.drops() - drops_start;
     let profile = Profile {
         source: label.to_owned(),
@@ -245,44 +238,21 @@ fn main() {
     );
 
     let mut trace = DemoTrace::new();
-    let summary = if shards > 1 {
-        let router =
-            ParallelRouter::from_graph::<FastElement>(&artifact, ParallelOpts::new(shards))
-                .unwrap_or_else(|e| {
-                    eprintln!("click-morph: {e}");
-                    std::process::exit(1);
-                });
-        let daemon = MorphDaemon::new(router, graph, artifact, policy);
-        drive(
-            daemon,
-            &mut trace,
-            windows,
-            window_packets,
-            shift_at,
-            alternate,
-            branches,
-            shards,
-            &label,
-        )
-    } else {
-        let router: Router<FastElement> = Router::from_graph(&artifact, &Library::standard())
-            .unwrap_or_else(|e| {
-                eprintln!("click-morph: {e}");
-                std::process::exit(1);
-            });
-        let daemon = MorphDaemon::new(router, graph, artifact, policy);
-        drive(
-            daemon,
-            &mut trace,
-            windows,
-            window_packets,
-            shift_at,
-            alternate,
-            branches,
-            shards,
-            &label,
-        )
-    };
+    let engine = build_engine(&artifact, true, ParallelOpts::new(shards)).unwrap_or_else(|e| {
+        eprintln!("click-morph: {e}");
+        std::process::exit(1);
+    });
+    let summary = drive(
+        MorphDaemon::new(engine, graph, artifact, policy),
+        &mut trace,
+        windows,
+        window_packets,
+        shift_at,
+        alternate,
+        branches,
+        shards,
+        &label,
+    );
 
     let json = summary.profile.to_json();
     match &out {

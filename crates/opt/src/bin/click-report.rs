@@ -67,21 +67,15 @@
 use click_core::error::Result;
 use click_core::graph::RouterGraph;
 use click_core::lang::read_config;
-use click_core::registry::Library;
-use click_elements::driver::DeviceDriver;
-use click_elements::element::Element;
-use click_elements::fast::FastElement;
+use click_elements::engine::{build_engine, Engine};
 use click_elements::headers::build_udp_packet;
 use click_elements::iodev::backend_scheme;
 use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
-use click_elements::parallel::{ParallelOpts, ParallelRouter};
+use click_elements::parallel::ParallelOpts;
 use click_elements::persist::CheckpointStore;
-use click_elements::router::{Router, Slot};
-use click_elements::telemetry::{
-    self, CheckpointGauges, DeviceGauges, ElementProfile, FaultGauges, ShardGauges, SteerGauges,
-    SwapGauges,
-};
+use click_elements::swap::SwapReport;
+use click_elements::telemetry::{self, CheckpointGauges, ElementProfile, SwapGauges};
 use click_opt::profile::Profile;
 use click_opt::tool::parse_args;
 
@@ -184,181 +178,83 @@ fn generic_frames(devices: &[String], packets: usize) -> Vec<Frame> {
         .collect()
 }
 
-fn run_serial<S: Slot>(
-    graph: &RouterGraph,
-    swap_to: Option<&RouterGraph>,
-    frames: &[Frame],
-    batched: usize,
-    devices_flag: bool,
-) -> Result<SerialRun> {
-    let mut router: Router<S> = Router::from_graph(graph, &Library::standard())?;
-    if batched > 0 {
-        router.set_batching(true);
-        router.set_batch_burst(batched);
-    }
-    if devices_flag {
-        let opened = router.devices.open_backends()?;
-        eprintln!("click-report: opened {opened} device backend(s)");
-    }
-    // With --swap, the first half of the trace runs on the old
-    // configuration and the second half on the new one. Scheme-bearing
-    // devices are fed by their backends, not the synthetic trace.
-    let split = if swap_to.is_some() {
-        frames.len() / 2
-    } else {
-        frames.len()
-    };
-    for (dev, p) in &frames[..split] {
-        if devices_flag && backend_scheme(dev).is_some() {
-            continue;
-        }
-        if let Some(id) = router.devices.id(dev) {
-            router.devices.inject(id, p.clone());
-        }
-    }
-    if devices_flag && router.devices.has_backends() {
-        router.run_with_devices(1_000_000);
-    } else {
-        router.run_until_idle(1_000_000);
-    }
-    let mut swap_gauges = None;
-    if let Some(new_graph) = swap_to {
-        let mut g = SwapGauges::default();
-        match router.hot_swap(new_graph, &Library::standard()) {
-            Ok(rep) => {
+/// The swap gauges of a one-swap run.
+fn swap_gauges(outcome: &Result<SwapReport>) -> SwapGauges {
+    let mut g = SwapGauges::default();
+    match outcome {
+        Ok(rep) => {
+            if rep.rolled_back {
+                g.rollbacks = 1;
+                g.canary_failures = 1;
+            } else {
                 g.swaps = 1;
-                g.packets_transferred = rep.packets_transferred;
             }
-            Err(e) => {
-                g.rejected_configs = 1;
-                eprintln!("click-report: hot swap rejected: {e}");
-            }
+            g.packets_transferred = rep.packets_transferred;
         }
-        swap_gauges = Some(g);
-        for (dev, p) in &frames[split..] {
-            if let Some(id) = router.devices.id(dev) {
-                router.devices.inject(id, p.clone());
-            }
-        }
-        router.run_until_idle(1_000_000);
-    }
-    let names: Vec<String> = router
-        .devices
-        .names()
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut tx = 0u64;
-    for name in &names {
-        let Some(id) = router.devices.id(name) else {
-            continue;
-        };
-        tx += router.devices.recycle_tx(id) as u64;
-    }
-    let devices = if devices_flag {
-        router.devices.device_gauges()
-    } else {
-        Vec::new()
-    };
-    Ok((router.telemetry_profiles(), swap_gauges, tx, devices))
-}
-
-type SerialRun = (
-    Vec<ElementProfile>,
-    Option<SwapGauges>,
-    u64,
-    Vec<DeviceGauges>,
-);
-
-type ShardedRun = (
-    Vec<ElementProfile>,
-    Vec<ShardGauges>,
-    Vec<SteerGauges>,
-    FaultGauges,
-    Option<SwapGauges>,
-    u64,
-    Vec<DeviceGauges>,
-);
-
-fn run_sharded<S: Slot + 'static>(
-    graph: &RouterGraph,
-    swap_to: Option<&RouterGraph>,
-    frames: &[Frame],
-    shards: usize,
-    steerers: usize,
-    batched: usize,
-    devices_flag: bool,
-) -> Result<ShardedRun> {
-    let mut opts = ParallelOpts::new(shards).with_steerers(steerers);
-    if batched > 0 {
-        opts = opts.batched(batched);
-    }
-    let mut router = ParallelRouter::from_graph::<S>(graph, opts)?;
-    let mut drv = DeviceDriver::new();
-    if devices_flag {
-        let names = router.device_names().to_vec();
-        let opened = drv.open_scheme_devices(&names)?;
-        eprintln!("click-report: opened {opened} device backend(s)");
-    }
-    let split = if swap_to.is_some() {
-        frames.len() / 2
-    } else {
-        frames.len()
-    };
-    for (dev, p) in &frames[..split] {
-        if devices_flag && backend_scheme(dev).is_some() {
-            continue;
-        }
-        if let Some(id) = router.device_id(dev) {
-            router.inject(id, p.clone());
-        }
-    }
-    router.run_until_idle();
-    if devices_flag {
-        drv.run(&mut router, 64, 1_000_000)?;
-    }
-    let mut swap_gauges = None;
-    if let Some(new_graph) = swap_to {
-        // Buffer the second half first: it becomes the canary-window
-        // traffic the rollout judges the new configuration against.
-        for (dev, p) in &frames[split..] {
-            if let Some(id) = router.device_id(dev) {
-                router.inject(id, p.clone());
-            }
-        }
-        if let Err(e) = router.hot_swap(new_graph) {
+        Err(e) => {
+            g.rejected_configs = 1;
             eprintln!("click-report: hot swap rejected: {e}");
         }
-        swap_gauges = Some(router.swap_gauges());
-        router.run_until_idle();
+    }
+    g
+}
+
+/// Runs the trace through `engine`; returns the swap gauges (with
+/// `--swap`) and the packets transmitted.
+fn run(
+    engine: &mut dyn Engine,
+    swap_to: Option<&RouterGraph>,
+    frames: &[Frame],
+    devices_flag: bool,
+) -> Result<(Option<SwapGauges>, u64)> {
+    if devices_flag {
+        let opened = engine.open_backends()?;
+        eprintln!("click-report: opened {opened} device backend(s)");
+    }
+    // Scheme-bearing devices are fed by their backends, not the
+    // synthetic trace.
+    let inject = |engine: &mut dyn Engine, frames: &[Frame]| {
+        for (dev, p) in frames {
+            if devices_flag && backend_scheme(dev).is_some() {
+                continue;
+            }
+            if let Some(id) = engine.device(dev) {
+                engine.inject(id, p.clone());
+            }
+        }
+    };
+    // With --swap, the first half of the trace runs on the old
+    // configuration and the second half on the new one.
+    let split = if swap_to.is_some() {
+        frames.len() / 2
+    } else {
+        frames.len()
+    };
+    inject(engine, &frames[..split]);
+    engine.settle();
+    if devices_flag {
+        engine.run_with_devices(1_000_000)?;
+    }
+    let mut swap = None;
+    if let Some(new_graph) = swap_to {
+        // Buffer the second half first: on the sharded engine it is the
+        // canary-window traffic the rollout judges the new configuration
+        // against.
+        inject(engine, &frames[split..]);
+        swap = Some(swap_gauges(&engine.install(new_graph)));
+        engine.settle();
         if devices_flag {
             // Drain whatever the post-swap traffic produced on the
             // backend-bound devices.
-            drv.run(&mut router, 64, 1_000_000)?;
+            engine.run_with_devices(1_000_000)?;
         }
     }
-    let names: Vec<String> = router.device_names().to_vec();
     let mut tx = 0u64;
-    for name in &names {
-        let Some(id) = router.device_id(name) else {
-            continue;
-        };
-        tx += router.take_tx(id).len() as u64;
+    for p in engine.drain_tx() {
+        p.recycle();
+        tx += 1;
     }
-    let profiles = router.telemetry_profiles();
-    let gauges = router.shard_gauges();
-    let steering = router.steer_gauges();
-    let faults = router.fault_gauges();
-    router.shutdown();
-    Ok((
-        profiles,
-        gauges,
-        steering,
-        faults,
-        swap_gauges,
-        tx,
-        drv.gauges(),
-    ))
+    Ok((swap, tx))
 }
 
 fn main() {
@@ -431,8 +327,9 @@ fn main() {
         );
     }
 
-    // Build the graph and its trace.
-    let (graph, frames, label) = match positional.first() {
+    // Build the graph; the trace comes after the engine, which names
+    // the devices a generic trace is injected on.
+    let (graph, spec, label) = match positional.first() {
         Some(path) => {
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("click-report: reading {path}: {e}");
@@ -442,31 +339,12 @@ fn main() {
                 eprintln!("click-report: parsing {path}: {e}");
                 std::process::exit(1);
             });
-            // Device names come from a throwaway instantiation.
-            let probe: Router<Box<dyn Element>> = Router::from_graph(&graph, &Library::standard())
-                .unwrap_or_else(|e| {
-                    eprintln!("click-report: {e}");
-                    std::process::exit(1);
-                });
-            let devices: Vec<String> = probe
-                .devices
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            drop(probe);
-            if devices.is_empty() {
-                eprintln!("click-report: configuration has no devices to inject on");
-                std::process::exit(1);
-            }
-            let frames = generic_frames(&devices, packets);
-            (graph, frames, path.clone())
+            (graph, None, path.clone())
         }
         None => {
             let spec = IpRouterSpec::standard(ifaces);
             let graph = read_config(&spec.config()).expect("generated config parses");
-            let frames = ip_router_frames(&spec, ifaces, packets);
-            (graph, frames, format!("ip-router-{ifaces}"))
+            (graph, Some(spec), format!("ip-router-{ifaces}"))
         }
     };
 
@@ -487,52 +365,35 @@ fn main() {
         || swap_graph
             .as_ref()
             .is_some_and(|g| g.has_requirement("devirtualize"));
-    let swap_to = swap_graph.as_ref();
-    let (elements, gauges, steering, fault_gauges, swap_gauges, tx, devices) = if shards > 1 {
-        let r = if devirt {
-            run_sharded::<FastElement>(
-                &graph,
-                swap_to,
-                &frames,
-                shards,
-                steerers,
-                batched,
-                devices_flag,
-            )
-        } else {
-            run_sharded::<Box<dyn Element>>(
-                &graph,
-                swap_to,
-                &frames,
-                shards,
-                steerers,
-                batched,
-                devices_flag,
-            )
-        };
-        let (elements, gauges, steering, faults, swap, tx, devices) = r.unwrap_or_else(|e| {
-            eprintln!("click-report: {e}");
-            std::process::exit(1);
-        });
-        (elements, gauges, steering, Some(faults), swap, tx, devices)
-    } else {
-        if steerers > 0 {
-            eprintln!(
-                "click-report: warning: --steerers with a serial run (--shards 1); \
-                 steering happens inline, ignoring"
-            );
-        }
-        let r = if devirt {
-            run_serial::<FastElement>(&graph, swap_to, &frames, batched, devices_flag)
-        } else {
-            run_serial::<Box<dyn Element>>(&graph, swap_to, &frames, batched, devices_flag)
-        };
-        let (elements, swap, tx, devices) = r.unwrap_or_else(|e| {
-            eprintln!("click-report: {e}");
-            std::process::exit(1);
-        });
-        (elements, Vec::new(), Vec::new(), None, swap, tx, devices)
+    if shards == 1 && steerers > 0 {
+        eprintln!(
+            "click-report: warning: --steerers with a serial run (--shards 1); \
+             steering happens inline, ignoring"
+        );
+    }
+    let mut opts = ParallelOpts::new(shards).with_steerers(steerers);
+    if batched > 0 {
+        opts = opts.batched(batched);
+    }
+    let fail = |e: click_core::error::Error| -> ! {
+        eprintln!("click-report: {e}");
+        std::process::exit(1);
     };
+    let mut engine = build_engine(&graph, devirt, opts).unwrap_or_else(|e| fail(e));
+    let frames = match &spec {
+        Some(spec) => ip_router_frames(spec, ifaces, packets),
+        None => {
+            let devices = engine.device_names();
+            if devices.is_empty() {
+                eprintln!("click-report: configuration has no devices to inject on");
+                std::process::exit(1);
+            }
+            generic_frames(&devices, packets)
+        }
+    };
+    let (swap_gauges, tx) = run(engine.as_mut(), swap_graph.as_ref(), &frames, devices_flag)
+        .unwrap_or_else(|e| fail(e));
+    let fault_gauges = engine.fault_gauges();
     if faults_flag && fault_gauges.is_none() {
         eprintln!(
             "click-report: warning: --faults with a serial run (--shards 1); \
@@ -544,12 +405,12 @@ fn main() {
         source: source.unwrap_or(label),
         shards,
         telemetry: telemetry::ENABLED,
-        elements,
-        gauges,
-        steering,
+        elements: engine.profiles(),
+        gauges: engine.shard_gauges(),
+        steering: engine.steer_gauges(),
         faults: if faults_flag { fault_gauges } else { None },
         swap: swap_gauges,
-        devices,
+        devices: engine.device_gauges(),
         checkpoints: checkpoints_dir.as_deref().map(inspect_checkpoints),
         ..Profile::default()
     };

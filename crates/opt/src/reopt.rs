@@ -23,8 +23,8 @@
 //!
 //! The split between [`ReoptController`] (pure decision logic over
 //! profile snapshots — no router, fully unit-testable) and
-//! [`MorphDaemon`] (drives a live [`MorphTarget`] router window by
-//! window) keeps the hysteresis edges testable without threads.
+//! [`MorphDaemon`] (drives a live [`Engine`] window by window) keeps
+//! the hysteresis edges testable without threads.
 //!
 //! Always-live [`ReoptGauges`] count what the loop did; `click-morph`
 //! exports them in the profile JSON's `"reopt"` section.
@@ -37,13 +37,12 @@ use click_core::error::Result;
 use click_core::graph::RouterGraph;
 use click_core::lang::{read_config, write_config};
 use click_core::registry::Library;
-use click_elements::element::DeviceId;
+use click_elements::engine::Engine;
 use click_elements::fast::FastElement;
 use click_elements::headers::build_udp_packet;
 use click_elements::packet::Packet;
 use click_elements::parallel::ParallelRouter;
-use click_elements::persist::{CheckpointDaemon, CheckpointEngine};
-use click_elements::router::{Router, Slot};
+use click_elements::persist::CheckpointDaemon;
 use click_elements::swap::SwapReport;
 use click_elements::telemetry::{ElementProfile, ReoptGauges};
 use std::collections::HashSet;
@@ -370,125 +369,6 @@ pub fn optimize_pipeline(source: &RouterGraph) -> Result<RouterGraph> {
     Ok(artifact)
 }
 
-// ---- live-router abstraction ---------------------------------------------
-
-/// How an install attempt was judged by the runtime itself.
-#[derive(Debug)]
-pub enum InstallVerdict {
-    /// Sharded rollout completed: the canary held and every live shard
-    /// runs the new graph.
-    Kept(SwapReport),
-    /// Sharded canary regressed and was rolled back; the old graph
-    /// still runs everywhere.
-    RolledBack(SwapReport),
-    /// Serial swap installed the graph without a canary judge — the
-    /// caller must run its own probation (drop-rate comparison) and
-    /// swap back on regression.
-    SelfJudge(SwapReport),
-}
-
-/// A live router the daemon can drive: inject traffic, settle it, read
-/// monotonic profiles and drop counters, and hot-install a new graph.
-/// Implemented for the serial [`Router`] (any slot) and the sharded
-/// [`ParallelRouter`].
-pub trait MorphTarget {
-    /// Resolves a device by configuration name.
-    fn device(&self, name: &str) -> Option<DeviceId>;
-    /// Buffers a packet on a device's RX path (not processed until
-    /// [`MorphTarget::settle`] — or, for the sharded runtime, an
-    /// install's canary window — runs it).
-    fn inject(&mut self, dev: DeviceId, p: Packet);
-    /// Runs until all injected traffic has drained.
-    fn settle(&mut self);
-    /// Cumulative per-element telemetry snapshot (merged across shards).
-    fn profiles(&self) -> Vec<ElementProfile>;
-    /// Monotonic total drop counter (survives hot swaps).
-    fn drops(&self) -> u64;
-    /// Hot-installs `graph`, returning how the runtime judged it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation error of a rejected configuration; the
-    /// old graph keeps running.
-    fn install(&mut self, graph: &RouterGraph) -> Result<InstallVerdict>;
-    /// Drains and returns a device's transmitted packets.
-    fn take_tx(&mut self, dev: DeviceId) -> Vec<Packet>;
-    /// Configuration names of every device.
-    fn device_names(&self) -> Vec<String>;
-    /// The engine's checkpoint surface, if it has one. Both shipped
-    /// engines do; the default `None` keeps bare test targets working
-    /// (they simply never persist).
-    fn checkpoint_engine(&mut self) -> Option<&mut dyn CheckpointEngine> {
-        None
-    }
-}
-
-impl<S: Slot> MorphTarget for Router<S> {
-    fn device(&self, name: &str) -> Option<DeviceId> {
-        self.devices.id(name)
-    }
-    fn inject(&mut self, dev: DeviceId, p: Packet) {
-        self.devices.inject(dev, p);
-    }
-    fn settle(&mut self) {
-        self.run_until_idle(1_000_000);
-    }
-    fn profiles(&self) -> Vec<ElementProfile> {
-        self.telemetry_profiles()
-    }
-    fn drops(&self) -> u64 {
-        self.total_drops()
-    }
-    fn install(&mut self, graph: &RouterGraph) -> Result<InstallVerdict> {
-        self.hot_swap(graph, &Library::standard())
-            .map(InstallVerdict::SelfJudge)
-    }
-    fn take_tx(&mut self, dev: DeviceId) -> Vec<Packet> {
-        self.devices.take_tx(dev)
-    }
-    fn device_names(&self) -> Vec<String> {
-        self.devices.names().iter().map(|s| s.to_string()).collect()
-    }
-    fn checkpoint_engine(&mut self) -> Option<&mut dyn CheckpointEngine> {
-        Some(self)
-    }
-}
-
-impl MorphTarget for ParallelRouter {
-    fn device(&self, name: &str) -> Option<DeviceId> {
-        self.device_id(name)
-    }
-    fn inject(&mut self, dev: DeviceId, p: Packet) {
-        self.inject(dev, p);
-    }
-    fn settle(&mut self) {
-        self.run_until_idle();
-    }
-    fn profiles(&self) -> Vec<ElementProfile> {
-        self.telemetry_profiles()
-    }
-    fn drops(&self) -> u64 {
-        self.total_drops()
-    }
-    fn install(&mut self, graph: &RouterGraph) -> Result<InstallVerdict> {
-        let rep = self.hot_swap(graph)?;
-        Ok(if rep.rolled_back {
-            InstallVerdict::RolledBack(rep)
-        } else {
-            InstallVerdict::Kept(rep)
-        })
-    }
-    fn take_tx(&mut self, dev: DeviceId) -> Vec<Packet> {
-        ParallelRouter::take_tx(self, dev)
-    }
-    fn device_names(&self) -> Vec<String> {
-        ParallelRouter::device_names(self).to_vec()
-    }
-    fn checkpoint_engine(&mut self) -> Option<&mut dyn CheckpointEngine> {
-        Some(self)
-    }
-}
-
 // ---- the daemon ----------------------------------------------------------
 
 /// What one daemon window did, for logs and verdict checks.
@@ -525,13 +405,13 @@ pub enum WindowOutcome {
 /// candidate graph before it is scheduled for install.
 pub type CandidateHook = Box<dyn FnMut(&mut RouterGraph)>;
 
-/// The live half of the loop: owns a [`MorphTarget`] router plus a
+/// The live half of the loop: owns an [`Engine`] plus a
 /// [`ReoptController`], and advances one traffic window per
 /// [`MorphDaemon::step`] call. A candidate compiled in window *N*
 /// installs at the *start* of window *N + 1*, so that window's buffered
 /// traffic becomes the canary/probation workload judging it.
-pub struct MorphDaemon<T: MorphTarget> {
-    target: T,
+pub struct MorphDaemon<E: Engine> {
+    target: E,
     ctrl: ReoptController,
     /// The optimized artifact currently running — retained so a serial
     /// probation failure can swap back to it.
@@ -556,10 +436,10 @@ pub struct MorphDaemon<T: MorphTarget> {
     ckpt_injected: u64,
 }
 
-impl<T: MorphTarget> MorphDaemon<T> {
+impl<E: Engine> MorphDaemon<E> {
     /// A daemon driving `target`, which must already be running
     /// `artifact` (= [`optimize_pipeline`] of `source`).
-    pub fn new(target: T, source: RouterGraph, artifact: RouterGraph, policy: ReoptPolicy) -> Self {
+    pub fn new(target: E, source: RouterGraph, artifact: RouterGraph, policy: ReoptPolicy) -> Self {
         MorphDaemon {
             target,
             ctrl: ReoptController::new(source, policy),
@@ -595,13 +475,13 @@ impl<T: MorphTarget> MorphDaemon<T> {
     }
 
     /// The driven router.
-    pub fn target(&mut self) -> &mut T {
+    pub fn target(&mut self) -> &mut E {
         &mut self.target
     }
 
     /// Consumes the daemon, returning the router (to drain TX, shut
     /// down, ...).
-    pub fn into_target(self) -> T {
+    pub fn into_target(self) -> E {
         self.target
     }
 
@@ -684,9 +564,7 @@ impl<T: MorphTarget> MorphDaemon<T> {
         if kept {
             daemon.set_config(write_config(&self.artifact));
         }
-        if let Some(engine) = self.target.checkpoint_engine() {
-            let _ = daemon.checkpoint_now(engine, self.ckpt_injected, 0);
-        }
+        let _ = daemon.checkpoint_now(&mut self.target, self.ckpt_injected, 0);
     }
 
     /// Judgment window: the candidate installs against the traffic just
@@ -699,11 +577,31 @@ impl<T: MorphTarget> MorphDaemon<T> {
         drops_before: u64,
         injected: u64,
     ) -> Result<WindowOutcome> {
-        match self.target.install(&plan.artifact) {
-            Ok(InstallVerdict::Kept(report)) => {
+        // A rejected candidate leaves the old graph running: it drains
+        // the buffered window and counts as a rollback (cooldown), so a
+        // broken recompile cannot spin.
+        let report = self.target.install(&plan.artifact).ok();
+        self.target.settle();
+        let rate = drop_rate(self.target.drops() - drops_before, injected);
+        let kept = match &report {
+            None => false,
+            Some(r) if r.canary_shard.is_some() => !r.rolled_back,
+            // No canary judged the install: compare the window's drop
+            // rate under the new configuration against the previous
+            // window's, plus the margin, and swap back on regression.
+            Some(_) if rate > self.last_drop_rate + self.ctrl.policy().drop_margin => {
+                self.target.install(&self.artifact)?;
                 self.target.settle();
-                self.last_drop_rate = drop_rate(self.target.drops() - drops_before, injected);
                 let profiles = self.target.profiles();
+                self.ctrl.swap_rolled_back(&profiles);
+                return Ok(WindowOutcome::SwapRolledBack { report: None });
+            }
+            Some(_) => true,
+        };
+        self.last_drop_rate = rate;
+        let profiles = self.target.profiles();
+        match report {
+            Some(report) if kept => {
                 self.ctrl.swap_kept(plan.hoisted, &profiles);
                 self.artifact = plan.artifact;
                 self.maybe_autotune(frames);
@@ -712,47 +610,9 @@ impl<T: MorphTarget> MorphDaemon<T> {
                     report,
                 })
             }
-            Ok(InstallVerdict::RolledBack(report)) => {
-                self.target.settle();
-                self.last_drop_rate = drop_rate(self.target.drops() - drops_before, injected);
-                let profiles = self.target.profiles();
+            report => {
                 self.ctrl.swap_rolled_back(&profiles);
-                Ok(WindowOutcome::SwapRolledBack {
-                    report: Some(report),
-                })
-            }
-            Ok(InstallVerdict::SelfJudge(report)) => {
-                // Serial: no canary judged for us. Drain the window
-                // under the new configuration and compare its drop rate
-                // against the previous window's, plus the margin.
-                self.target.settle();
-                let rate = drop_rate(self.target.drops() - drops_before, injected);
-                if rate > self.last_drop_rate + self.ctrl.policy().drop_margin {
-                    self.target.install(&self.artifact)?;
-                    self.target.settle();
-                    let profiles = self.target.profiles();
-                    self.ctrl.swap_rolled_back(&profiles);
-                    return Ok(WindowOutcome::SwapRolledBack { report: None });
-                }
-                self.last_drop_rate = rate;
-                let profiles = self.target.profiles();
-                self.ctrl.swap_kept(plan.hoisted, &profiles);
-                self.artifact = plan.artifact;
-                self.maybe_autotune(frames);
-                Ok(WindowOutcome::SwapKept {
-                    improvement: plan.improvement,
-                    report,
-                })
-            }
-            Err(_) => {
-                // Rejected at validation: the old graph keeps running
-                // and drains the buffered window; treat it like a
-                // rollback (cooldown) so a broken recompile cannot spin.
-                self.target.settle();
-                self.last_drop_rate = drop_rate(self.target.drops() - drops_before, injected);
-                let profiles = self.target.profiles();
-                self.ctrl.swap_rolled_back(&profiles);
-                Ok(WindowOutcome::SwapRolledBack { report: None })
+                Ok(WindowOutcome::SwapRolledBack { report })
             }
         }
     }

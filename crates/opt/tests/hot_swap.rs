@@ -9,6 +9,7 @@ use click_core::graph::RouterGraph;
 use click_core::lang::read_config;
 use click_core::registry::Library;
 use click_elements::element::Element;
+use click_elements::engine::{build_engine, Engine};
 use click_elements::fast::FastElement;
 use click_elements::headers::build_udp_packet;
 use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
@@ -540,4 +541,32 @@ fn regressing_canary_rolls_back_with_exact_accounting() {
     let back = Profile::from_json(&json).unwrap();
     assert_eq!(back.swap, Some(gauges));
     r.shutdown();
+}
+
+/// An install keeps the drop counters of matched elements that carry no
+/// transferable state (a `Classifier` here), so `drops()` never falls
+/// across a hot swap, on either engine.
+#[test]
+fn install_keeps_drops_of_stateless_matched_elements() {
+    let graph =
+        read_config("FromDevice(in0) -> c :: Classifier(12/0800) -> Queue(64) -> ToDevice(out0);")
+            .unwrap();
+    for shards in [1, 2] {
+        let mut engine = build_engine(&graph, false, ParallelOpts::new(shards)).unwrap();
+        let in0 = engine.device("in0").unwrap();
+        for sport in 0..5 {
+            // ARP ethertype: the classifier matches IPv4 only.
+            let mut p = udp(sport, 0);
+            p.data_mut()[12..14].copy_from_slice(&[0x08, 0x06]);
+            engine.inject(in0, p);
+        }
+        engine.settle();
+        assert_eq!(engine.drops(), 5, "{shards} shard(s): classifier drops");
+        engine.install(&graph).unwrap();
+        assert_eq!(
+            engine.drops(),
+            5,
+            "{shards} shard(s): the drop gauge fell across the install"
+        );
+    }
 }

@@ -8,6 +8,7 @@
 use click_core::graph::RouterGraph;
 use click_core::lang::read_config;
 use click_core::registry::Library;
+use click_elements::engine::Engine;
 use click_elements::fast::FastElement;
 use click_elements::packet::Packet;
 #[cfg(feature = "telemetry")]
@@ -17,8 +18,8 @@ use click_elements::steer::flow_key;
 #[cfg(feature = "telemetry")]
 use click_opt::reopt::SuppressReason;
 use click_opt::reopt::{
-    demo_config, demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, MorphTarget, ReoptPolicy,
-    WindowOutcome, DEMO_BRANCHES, DEMO_FLOWS,
+    demo_config, demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
+    DEMO_BRANCHES, DEMO_FLOWS,
 };
 
 const WINDOW_PACKETS: usize = 460;
@@ -36,8 +37,8 @@ fn strict_policy() -> ReoptPolicy {
 
 /// Drives `windows` demo windows through the daemon, shifting the hot
 /// branch from 0 to the last at `shift_at`. Returns the outcomes.
-fn drive<T: MorphTarget>(
-    daemon: &mut MorphDaemon<T>,
+fn drive<E: Engine>(
+    daemon: &mut MorphDaemon<E>,
     trace: &mut DemoTrace,
     windows: usize,
     shift_at: usize,
@@ -49,17 +50,6 @@ fn drive<T: MorphTarget>(
             daemon.step(&frames).expect("window steps cleanly")
         })
         .collect()
-}
-
-/// Drains every device's TX queue.
-fn drain_tx<T: MorphTarget>(target: &mut T) -> Vec<Packet> {
-    let mut tx = Vec::new();
-    for name in target.device_names() {
-        if let Some(id) = target.device(&name) {
-            tx.extend(target.take_tx(id));
-        }
-    }
-    tx
 }
 
 /// Asserts sequence markers (last payload byte) appear in increasing
@@ -186,7 +176,7 @@ mod live {
 
         // Exact accounting and per-flow order across the swap.
         let mut router = daemon.into_target();
-        let tx = drain_tx(&mut router);
+        let tx = router.drain_tx();
         assert_eq!(tx.len(), 12 * WINDOW_PACKETS, "every packet forwarded");
         assert_eq!(router.drops(), 0, "nothing dropped");
         assert_per_flow_order(&tx);
@@ -225,7 +215,7 @@ mod live {
         assert_eq!(g.rollbacks, 0);
 
         let mut router = daemon.into_target();
-        let tx = drain_tx(&mut router);
+        let tx = router.drain_tx();
         let drops = router.drops() - drops_start;
         assert_eq!(
             tx.len() as u64 + drops,
@@ -297,7 +287,7 @@ mod live {
         // Exact accounting: everything injected was transmitted except
         // the probation window the fault dropped.
         let mut router = daemon.into_target();
-        let tx = drain_tx(&mut router);
+        let tx = router.drain_tx();
         let injected = 8 * WINDOW_PACKETS as u64;
         assert_eq!(tx.len() as u64 + router.drops(), injected);
         assert_per_flow_order(&tx);
@@ -342,7 +332,7 @@ mod live {
         let mut router = daemon.into_target();
         let drops = router.drops() - drops_start;
         assert!(drops > 0, "canary losses survive the rollback");
-        let tx = drain_tx(&mut router);
+        let tx = router.drain_tx();
         assert_eq!(
             tx.len() as u64 + drops,
             3 * WINDOW_PACKETS as u64,
@@ -373,7 +363,7 @@ fn loop_stays_quiet_without_telemetry() {
     assert_eq!(g.swaps_kept + g.rollbacks, 0);
 
     let mut router = daemon.into_target();
-    let tx = drain_tx(&mut router);
+    let tx = router.drain_tx();
     assert_eq!(tx.len(), 6 * WINDOW_PACKETS, "forwarding is unaffected");
     assert_per_flow_order(&tx);
 }

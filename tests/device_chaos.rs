@@ -21,9 +21,11 @@ use click::core::lang::read_config;
 use click::core::RouterGraph;
 use click::elements::driver::DeviceDriver;
 use click::elements::element::Element;
+use click::elements::engine::{build_engine, Engine};
 use click::elements::headers::build_udp_packet;
 use click::elements::iodev::{
-    FaultInjectBackend, HealthPolicy, MemBackend, MemQueues, RetryPolicy, SupervisedDevice,
+    write_pcap, FaultInjectBackend, HealthPolicy, MemBackend, MemQueues, PcapBackend, PumpStats,
+    RetryPolicy, SupervisedDevice,
 };
 use click::elements::parallel::{ParallelOpts, ParallelRouter};
 use std::time::{Duration, Instant};
@@ -285,4 +287,61 @@ fn abandoned_tx_device_turns_backlog_into_counted_loss() {
     assert!(g.drain_lost > 0, "{g:?}");
     assert_eq!(g.reopens, 0, "no refused re-open may count as success");
     r.shutdown();
+}
+
+/// One ledger formula on both engines: the same faulted pcap replay
+/// (frames lost on the wire, then a TX device that dies and refuses its
+/// re-opens past the drain deadline), built through `build_engine` as
+/// serial and as 2 shards, closes `offered == tx + drops()` with no
+/// engine-specific term.
+#[test]
+fn faulted_pcap_replay_closes_one_ledger_on_both_engines() {
+    let dir = std::env::temp_dir().join(format!("click-device-chaos-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("ledger.pcap");
+    write_pcap(&trace, &(0..FRAMES).map(frame).collect::<Vec<_>>()).unwrap();
+    let trace = trace.to_str().unwrap();
+
+    for shards in [1, 2] {
+        let opts = ParallelOpts::new(shards).batched(8);
+        let mut engine = build_engine(&chaos_graph(), false, opts).unwrap();
+        let pcap = PcapBackend::open(trace, None).unwrap();
+        let rx = FaultInjectBackend::parse("DROP 0.1, SEED 7", Box::new(pcap)).unwrap();
+        engine
+            .attach("in0", SupervisedDevice::new(Box::new(rx)))
+            .unwrap();
+        let (out_be, _out_q) = MemBackend::with_handles();
+        let tx_dev =
+            FaultInjectBackend::parse("DOWN-AFTER 120, DOWN-FOR 3", Box::new(out_be)).unwrap();
+        let (retry, health) = fast_policies(300, 16);
+        engine
+            .attach(
+                "out0",
+                SupervisedDevice::with_policies(Box::new(tx_dev), retry, health),
+            )
+            .unwrap();
+
+        // Pump until runs stop moving frames: the trace is drained and
+        // the parked TX is sent or counted lost.
+        let mut stats = PumpStats::default();
+        let mut idle_runs = 0;
+        while idle_runs < 5 {
+            let run = engine.run_with_devices(1000).unwrap();
+            idle_runs = if run.idle() { idle_runs + 1 } else { 0 };
+            stats.absorb(run);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let offered = stats.rx as u64;
+        let tx = stats.tx as u64 + engine.drain_tx().len() as u64;
+        assert!(
+            offered > 0 && offered < FRAMES as u64,
+            "{shards} shard(s): the wire lost some of the trace, not all"
+        );
+        assert!(
+            engine.drops() > 0,
+            "{shards} shard(s): the outage cost counted loss"
+        );
+        assert_eq!(offered, tx + engine.drops(), "{shards} shard(s): ledger");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
