@@ -15,7 +15,9 @@
 //! the device layer too.
 
 use crate::batch::PacketBatch;
-use crate::iodev::{open_backend, DeviceBackend, PumpStats, SendOutcome, SupervisedDevice};
+use crate::iodev::{
+    open_backend, DeviceBackend, PumpStats, SendOutcome, SupervisedDevice, IDLE_NAP,
+};
 use crate::packet::Packet;
 use crate::parallel::ParallelRouter;
 use crate::telemetry::DeviceGauges;
@@ -104,14 +106,17 @@ impl DeviceDriver {
         self.devs.iter().map(|d| d.pending.len()).sum()
     }
 
+    /// True while some device holds a run open: TX parked for it or a
+    /// re-open still scheduled ([`SupervisedDevice::holds_run_open`]).
+    pub fn holds_run_open(&self) -> bool {
+        self.devs
+            .iter()
+            .any(|d| d.sup.holds_run_open(d.pending.len()))
+    }
+
     /// TX frames parked for each device, by router device name.
     pub(crate) fn parked(&self) -> impl Iterator<Item = (&str, &VecDeque<Packet>)> {
         self.devs.iter().map(|d| (d.name.as_str(), &d.pending))
-    }
-
-    /// True once every attached RX source is exhausted.
-    pub fn all_exhausted(&self) -> bool {
-        self.devs.iter().all(|d| d.sup.exhausted())
     }
 
     /// Always-live per-device gauges, in attach order.
@@ -191,9 +196,12 @@ impl DeviceDriver {
     }
 
     /// Pumps until a full round moves nothing, the workers are idle, and
-    /// every backend is exhausted with no pending TX — or `max_rounds`
-    /// passes (live sockets never exhaust; loop [`DeviceDriver::pump`]
-    /// yourself for those). Returns cumulative totals.
+    /// no device holds the run open (parked TX, or `Down` with a re-open
+    /// still scheduled: [`SupervisedDevice::holds_run_open`]) — or
+    /// `max_rounds` passes. This is the serial engine's stop rule
+    /// ([`crate::router::Router::run_with_devices`]); a source that never
+    /// reports exhausted (a live socket, a TX-only backend) does not hold
+    /// the run open. Returns cumulative totals.
     ///
     /// # Errors
     ///
@@ -213,12 +221,10 @@ impl DeviceDriver {
             totals.absorb(round);
             totals.absorb(drain);
             if round.idle() && drain.idle() && moved == 0 {
-                if self.all_exhausted() && self.pending() == 0 {
+                if !self.holds_run_open() {
                     break;
                 }
-                // Blocked TX with the deadline still running: give the
-                // supervision clock a moment to progress.
-                std::thread::sleep(std::time::Duration::from_micros(200));
+                std::thread::sleep(IDLE_NAP);
             }
         }
         Ok(totals)

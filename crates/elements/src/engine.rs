@@ -101,8 +101,9 @@ pub trait Engine {
     /// Fails on the first spec that cannot be opened.
     fn open_backends(&mut self) -> Result<usize>;
     /// Pumps the attached backends and the graph until a round moves
-    /// nothing and the sources are exhausted, or `max_rounds` passes.
-    /// Returns the cumulative pump totals.
+    /// nothing and no device holds the run open
+    /// ([`crate::iodev::SupervisedDevice::holds_run_open`]), or
+    /// `max_rounds` passes. Returns the cumulative pump totals.
     ///
     /// # Errors
     ///

@@ -318,6 +318,15 @@ impl SupervisedDevice {
         self.health == DeviceHealth::Down && self.reopen_attempts >= self.policy.reopen_budget
     }
 
+    /// True while a run over this device must keep pumping after an idle
+    /// round: `parked` TX frames wait for it (drain deadline still
+    /// running), or it is `Down` with a re-open still scheduled. Both
+    /// engines' `run_with_devices` stop once no attached device says so;
+    /// each wait ends on its own, by deadline or by re-open budget.
+    pub fn holds_run_open(&self, parked: usize) -> bool {
+        parked > 0 || (self.health == DeviceHealth::Down && !self.abandoned())
+    }
+
     /// True once the backend can never deliver another frame.
     pub fn exhausted(&self) -> bool {
         self.backend.exhausted()
@@ -1816,6 +1825,11 @@ impl DeviceBackend for FaultInjectBackend {
 // ---------------------------------------------------------------------------
 // Pump statistics
 // ---------------------------------------------------------------------------
+
+/// How long `run_with_devices` naps after an idle round that a device
+/// still holds open ([`SupervisedDevice::holds_run_open`]), so the
+/// supervision clock (drain deadline, re-open backoff) can progress.
+pub const IDLE_NAP: Duration = Duration::from_micros(200);
 
 /// What one pump round moved between backends and device queues.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

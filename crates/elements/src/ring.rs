@@ -241,8 +241,8 @@ pub enum BackoffPhase {
 /// the peer is about to act), then yield the core, then sleep in naps
 /// that grow *exponentially* — 2 µs doubling to a cap — so a worker
 /// that has been idle for a while stops burning its CPU, yet wakes
-/// quickly after a short stall. The spin budget and the nap cap are the
-/// runtime's per-ring backoff knobs
+/// quickly after a short stall. The spin budget is the runtime's per-ring
+/// backoff knob
 /// ([`ParallelOpts::backoff_spins`](crate::parallel::ParallelOpts)).
 ///
 /// `reset()` after productive work returns the machine to the spin
@@ -253,30 +253,21 @@ pub struct Backoff {
     spins: u32,
     budget: u32,
     nap: std::time::Duration,
-    max_nap: std::time::Duration,
 }
 
 /// First nap length once spins and yields are exhausted.
 const NAP_FLOOR: std::time::Duration = std::time::Duration::from_micros(2);
 
-/// Default ceiling for the exponential nap growth.
+/// Ceiling for the exponential nap growth.
 const NAP_CAP: std::time::Duration = std::time::Duration::from_micros(512);
 
 impl Backoff {
-    /// A backoff that spins `budget` times before yielding/sleeping,
-    /// with the default nap cap.
+    /// A backoff that spins `budget` times before yielding/sleeping.
     pub fn new(budget: u32) -> Backoff {
-        Backoff::with_max_nap(budget, NAP_CAP)
-    }
-
-    /// A backoff with an explicit nap ceiling (per-ring tuning): short
-    /// caps favor latency, long caps favor an idle core.
-    pub fn with_max_nap(budget: u32, max_nap: std::time::Duration) -> Backoff {
         Backoff {
             spins: 0,
             budget,
             nap: NAP_FLOOR,
-            max_nap: max_nap.max(NAP_FLOOR),
         }
     }
 
@@ -315,7 +306,7 @@ impl Backoff {
                 // arrives. Spurious or stale unparks only cost one extra
                 // loop through the caller's poll.
                 std::thread::park_timeout(self.nap);
-                self.nap = self.nap.saturating_mul(2).min(self.max_nap);
+                self.nap = self.nap.saturating_mul(2).min(NAP_CAP);
             }
         }
     }
@@ -331,9 +322,8 @@ impl Backoff {
 /// Occupancy-driven burst controller: grows the per-ring transfer burst
 /// while the ring runs hot (amortizing hand-off cost over more packets)
 /// and shrinks it while the ring runs cold (keeping latency low and the
-/// peer busy). Replaces the fixed `batch_burst` on the sharded runtime's
-/// enqueue and dequeue sides when
-/// [`ParallelOpts::adaptive_burst`](crate::parallel::ParallelOpts) is on.
+/// peer busy). Sizes the sharded runtime's enqueue and dequeue bursts
+/// ([`crate::parallel`]).
 ///
 /// The rule is deliberately simple and branch-cheap: observe occupancy
 /// after each transfer; above 3/4 capacity double the burst (up to
@@ -356,13 +346,6 @@ impl AdaptiveBurst {
             min,
             max,
         }
-    }
-
-    /// A degenerate controller pinned at `n` — used when adaptive burst
-    /// sizing is disabled so call sites need no branching.
-    pub fn fixed(n: usize) -> AdaptiveBurst {
-        let n = n.max(1);
-        AdaptiveBurst::new(n, n, n)
     }
 
     /// The burst to use for the next transfer.
@@ -510,7 +493,7 @@ mod tests {
 
     #[test]
     fn backoff_walks_spin_yield_nap_in_order() {
-        let mut b = Backoff::with_max_nap(2, std::time::Duration::from_micros(8));
+        let mut b = Backoff::new(2);
         // budget = 2 → 2 spins, then yields until 2*2+8 = 12, then naps.
         assert_eq!(b.phase(), BackoffPhase::Spin);
         b.snooze();
@@ -525,23 +508,23 @@ mod tests {
 
     #[test]
     fn backoff_naps_double_to_the_cap() {
-        let cap = std::time::Duration::from_micros(16);
-        let mut b = Backoff::with_max_nap(0, cap);
+        let mut b = Backoff::new(0);
         // Skip the yield phase (8 yields at budget 0).
         for _ in 0..8 {
             b.snooze();
         }
         assert_eq!(b.phase(), BackoffPhase::Nap);
         let first = b.next_nap();
-        assert_eq!(first, std::time::Duration::from_micros(2));
+        assert_eq!(first, NAP_FLOOR);
         b.snooze();
         assert_eq!(b.next_nap(), first * 2, "nap doubles after each sleep");
+        // 2 µs → 512 µs is eight doublings; one is already taken.
+        for _ in 0..7 {
+            b.snooze();
+        }
+        assert_eq!(b.next_nap(), NAP_CAP, "nap growth is capped");
         b.snooze();
-        b.snooze();
-        b.snooze();
-        assert_eq!(b.next_nap(), cap, "nap growth is capped");
-        b.snooze();
-        assert_eq!(b.next_nap(), cap, "stays at the cap");
+        assert_eq!(b.next_nap(), NAP_CAP, "stays at the cap");
     }
 
     #[test]
@@ -562,16 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_nap_cap_never_below_floor() {
-        let mut b = Backoff::with_max_nap(0, std::time::Duration::ZERO);
-        for _ in 0..10 {
-            b.snooze();
-        }
-        assert_eq!(b.next_nap(), std::time::Duration::from_micros(2));
-    }
-
-    #[test]
-    fn adaptive_burst_grows_when_hot_and_shrinks_when_cold() {
+    fn burst_controller_grows_when_hot_and_shrinks_when_cold() {
         let mut ab = AdaptiveBurst::new(8, 1, 64);
         assert_eq!(ab.get(), 8);
         // Hot ring (≥ 3/4 full): burst doubles, capped at max.
@@ -595,16 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_burst_fixed_never_moves() {
-        let mut ab = AdaptiveBurst::fixed(16);
-        ab.observe(128, 128);
-        assert_eq!(ab.get(), 16);
-        ab.observe(0, 128);
-        assert_eq!(ab.get(), 16);
-    }
-
-    #[test]
-    fn adaptive_burst_clamps_constructor_arguments() {
+    fn burst_controller_clamps_constructor_arguments() {
         let ab = AdaptiveBurst::new(1000, 0, 32);
         assert_eq!(ab.get(), 32);
         let ab = AdaptiveBurst::new(0, 4, 32);

@@ -409,6 +409,15 @@ impl DeviceBank {
         self.backends.iter().any(Option::is_some)
     }
 
+    /// True while some backend holds a run open: TX parked for it or a
+    /// re-open still scheduled ([`SupervisedDevice::holds_run_open`]).
+    pub fn holds_run_open(&self) -> bool {
+        self.backends
+            .iter()
+            .zip(&self.tx)
+            .any(|(b, q)| b.as_ref().is_some_and(|sup| sup.holds_run_open(q.len())))
+    }
+
     /// Health of a device's backend, if one is attached.
     pub fn backend_health(&self, dev: DeviceId) -> Option<DeviceHealth> {
         self.backends
@@ -420,15 +429,6 @@ impl DeviceBank {
     /// The supervised backend of a device (tests, chaos drivers).
     pub fn backend_mut(&mut self, dev: DeviceId) -> Option<&mut SupervisedDevice> {
         self.backends.get_mut(dev.0)?.as_mut()
-    }
-
-    /// True once every attached RX source is exhausted (finite traces
-    /// fully replayed). Devices without backends don't count.
-    pub fn backends_exhausted(&self) -> bool {
-        self.backends
-            .iter()
-            .flatten()
-            .all(SupervisedDevice::exhausted)
     }
 
     /// One pump round: moves up to `burst` frames per device from each
@@ -1284,9 +1284,11 @@ impl<S: Slot> Router<S> {
 
     /// Runs the router over its real device backends: each round pumps
     /// frames backend -> RX, schedules tasks until idle, and drains TX ->
-    /// backend, until a full round moves nothing (trace exhausted, TX
-    /// flushed or accounted lost) or `max_rounds` passes. Returns the
-    /// cumulative pump totals.
+    /// backend, until a full round moves nothing and no device holds the
+    /// run open (parked TX, or `Down` with a re-open still scheduled:
+    /// [`SupervisedDevice::holds_run_open`]) — or `max_rounds` passes.
+    /// The sharded engine's [`crate::driver::DeviceDriver::run`] stops by
+    /// the same rule. Returns the cumulative pump totals.
     ///
     /// With no backends attached this returns immediately — the
     /// simulated harness loops stay in charge.
@@ -1305,7 +1307,10 @@ impl<S: Slot> Router<S> {
             totals.absorb(round);
             totals.absorb(drain);
             if round.idle() && drain.idle() && moved == 0 {
-                break;
+                if !self.devices.holds_run_open() {
+                    break;
+                }
+                std::thread::sleep(crate::iodev::IDLE_NAP);
             }
         }
         totals

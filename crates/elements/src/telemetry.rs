@@ -167,11 +167,10 @@ pub struct ShardGauges {
     pub backoff_snoozes: u64,
 }
 
-/// One steering stage's runtime gauges: how much ingress classification
-/// work it did and what it cost. In serial-steering mode a single record
-/// (steerer 0) covers the inject path on the control-plane thread; in
-/// parallel-steering mode each steerer thread reports one record. Zeroed
-/// when [`ENABLED`] is `false`.
+/// The steering stage's runtime gauges: how much ingress classification
+/// work it did and what it cost. A single record (steerer 0) covers the
+/// inject path on the control-plane thread. Zeroed when [`ENABLED`] is
+/// `false`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SteerGauges {
     /// Steerer index (0 for the serial inject path).
@@ -546,7 +545,7 @@ mod imp {
     }
 
     /// Live steering gauges for one ingress stage (feature-on build).
-    /// Counters are `Cell`s so the steerer hot loop can update them
+    /// Counters are `Cell`s so the inject hot path can update them
     /// through a shared reference; each tracker stays on one thread.
     #[derive(Debug)]
     pub struct SteerGaugeTracker {

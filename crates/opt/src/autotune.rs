@@ -2,8 +2,7 @@
 //! (`click-autotune`).
 //!
 //! The parallel runtime exposes a handful of performance knobs — shard
-//! count, steerer count, ring capacity, transfer burst, backoff spin
-//! budget, adaptive-burst mode, the core-affinity pacing hint — whose
+//! count, ring capacity, transfer burst, backoff spin budget — whose
 //! best values depend on the host (core count, scheduler quantum) and
 //! the workload (flow count, per-packet cost). Hand-picking them bakes
 //! one host's trade-offs into every run. Following the approach of
@@ -40,18 +39,12 @@ use click_elements::parallel::ParallelOpts;
 pub struct TuneConfig {
     /// Worker shard count.
     pub shards: usize,
-    /// Steerer threads (0 = classify on the injection thread).
-    pub steerers: usize,
     /// SPSC ring capacity, in batches.
     pub ring_capacity: usize,
-    /// Transfer burst (batch size) — the floor when adaptive.
+    /// Transfer burst (batch size) — the adaptive controller's floor.
     pub burst: usize,
     /// Busy-poll spins before an idle endpoint yields and naps.
     pub backoff_spins: u32,
-    /// Grow/shrink bursts from ring occupancy.
-    pub adaptive_burst: bool,
-    /// Latency-biased backoff pacing (the affinity hint).
-    pub pin_cores: bool,
 }
 
 impl TuneConfig {
@@ -62,81 +55,48 @@ impl TuneConfig {
         let o = ParallelOpts::new(shards).batched(burst);
         TuneConfig {
             shards: o.shards,
-            steerers: o.steerers,
             ring_capacity: o.ring_capacity,
             burst: o.burst,
             backoff_spins: o.backoff_spins,
-            adaptive_burst: o.adaptive_burst,
-            pin_cores: o.pin_cores,
         }
     }
 
     /// Materializes the config as runtime options (batched engine mode —
     /// the tuned workloads are the batched ones).
     pub fn to_opts(&self) -> ParallelOpts {
-        let mut o = ParallelOpts::new(self.shards)
+        ParallelOpts::new(self.shards)
             .batched(self.burst)
-            .with_steerers(self.steerers)
             .with_ring_capacity(self.ring_capacity)
-            .with_backoff_spins(self.backoff_spins);
-        if !self.adaptive_burst {
-            o = o.fixed_burst();
-        }
-        if self.pin_cores {
-            o = o.pin_cores();
-        }
-        o
+            .with_backoff_spins(self.backoff_spins)
     }
 
     /// Compact one-line rendering for logs:
-    /// `shards=4 steerers=1 ring=256 burst=64 spins=128 adaptive pin`.
+    /// `shards=4 ring=256 burst=64 spins=128`.
     pub fn describe(&self) -> String {
         format!(
-            "shards={} steerers={} ring={} burst={} spins={}{}{}",
-            self.shards,
-            self.steerers,
-            self.ring_capacity,
-            self.burst,
-            self.backoff_spins,
-            if self.adaptive_burst {
-                " adaptive"
-            } else {
-                " fixed"
-            },
-            if self.pin_cores { " pin" } else { "" },
+            "shards={} ring={} burst={} spins={}",
+            self.shards, self.ring_capacity, self.burst, self.backoff_spins,
         )
     }
 
     fn to_json(self, ns: f64) -> String {
         format!(
-            "{{\"shards\": {}, \"steerers\": {}, \"ring_capacity\": {}, \
-             \"burst\": {}, \"backoff_spins\": {}, \"adaptive_burst\": {}, \
-             \"pin_cores\": {}, \"wall_ns_per_packet\": {:.2}}}",
-            self.shards,
-            self.steerers,
-            self.ring_capacity,
-            self.burst,
-            self.backoff_spins,
-            self.adaptive_burst,
-            self.pin_cores,
-            ns
+            "{{\"shards\": {}, \"ring_capacity\": {}, \"burst\": {}, \
+             \"backoff_spins\": {}, \"wall_ns_per_packet\": {:.2}}}",
+            self.shards, self.ring_capacity, self.burst, self.backoff_spins, ns
         )
     }
 
+    /// Reads one config; keys this build does not know (older reports'
+    /// steerer count, burst mode and core-pacing flag) are ignored.
     fn from_json(v: &Json) -> (TuneConfig, f64) {
         let u = |k: &str, d: u64| v.get(k).and_then(Json::as_u64).unwrap_or(d);
         (
             TuneConfig {
                 shards: u("shards", 1) as usize,
-                steerers: u("steerers", 0) as usize,
                 ring_capacity: u("ring_capacity", 256) as usize,
                 burst: u("burst", 8) as usize,
                 backoff_spins: u("backoff_spins", 128) as u32,
-                adaptive_burst: v
-                    .get("adaptive_burst")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(true),
-                pin_cores: v.get("pin_cores").and_then(Json::as_bool).unwrap_or(false),
             },
             v.get("wall_ns_per_packet")
                 .and_then(Json::as_f64)
@@ -153,8 +113,6 @@ impl TuneConfig {
 pub struct SearchSpace {
     /// Highest shard count to consider.
     pub max_shards: usize,
-    /// Highest steerer count to consider.
-    pub max_steerers: usize,
     /// Ring capacity bounds (batches).
     pub min_ring: usize,
     /// Ring capacity bounds (batches).
@@ -173,7 +131,6 @@ impl Default for SearchSpace {
     fn default() -> SearchSpace {
         SearchSpace {
             max_shards: 8,
-            max_steerers: 4,
             min_ring: 2,
             max_ring: 4096,
             min_burst: 1,
@@ -187,15 +144,14 @@ impl Default for SearchSpace {
 impl SearchSpace {
     fn clamp(&self, mut c: TuneConfig) -> TuneConfig {
         c.shards = c.shards.clamp(1, self.max_shards);
-        c.steerers = c.steerers.min(self.max_steerers);
         c.ring_capacity = c.ring_capacity.clamp(self.min_ring, self.max_ring);
         c.burst = c.burst.clamp(self.min_burst, self.max_burst);
         c.backoff_spins = c.backoff_spins.clamp(self.min_spins, self.max_spins);
         c
     }
 
-    /// Single-knob moves from `c`: each knob halved/doubled (or
-    /// stepped/toggled), clamped to the space. Duplicates of `c` itself
+    /// Single-knob moves from `c`: each knob halved/doubled, clamped to
+    /// the space. Duplicates of `c` itself
     /// are filtered out, so a config at a bound produces fewer moves.
     fn neighbors(&self, c: &TuneConfig) -> Vec<TuneConfig> {
         let mut out = Vec::new();
@@ -211,14 +167,6 @@ impl SearchSpace {
         });
         push(TuneConfig {
             shards: (c.shards / 2).max(1),
-            ..*c
-        });
-        push(TuneConfig {
-            steerers: c.steerers + 1,
-            ..*c
-        });
-        push(TuneConfig {
-            steerers: c.steerers.saturating_sub(1),
             ..*c
         });
         push(TuneConfig {
@@ -243,14 +191,6 @@ impl SearchSpace {
         });
         push(TuneConfig {
             backoff_spins: (c.backoff_spins / 2).max(1),
-            ..*c
-        });
-        push(TuneConfig {
-            adaptive_burst: !c.adaptive_burst,
-            ..*c
-        });
-        push(TuneConfig {
-            pin_cores: !c.pin_cores,
             ..*c
         });
         out
@@ -429,15 +369,14 @@ mod tests {
     use super::*;
 
     /// A smooth synthetic cost surface with its minimum inside the
-    /// space: best at 4 shards, 1 steerer, ring 512, burst 32, adaptive.
+    /// space: best at 4 shards, ring 512, burst 32, 512 spins.
     fn synthetic_cost(c: &TuneConfig) -> f64 {
         let dist = |a: usize, b: usize| ((a as f64).log2() - (b as f64).log2()).abs();
         100.0
             + 40.0 * dist(c.shards, 4)
-            + 25.0 * (c.steerers as f64 - 1.0).abs()
             + 10.0 * dist(c.ring_capacity, 512)
             + 10.0 * dist(c.burst.max(1), 32)
-            + if c.adaptive_burst { 0.0 } else { 15.0 }
+            + 5.0 * dist(c.backoff_spins as usize, 512)
     }
 
     #[test]
@@ -454,8 +393,9 @@ mod tests {
         assert!(best_ns < default_ns, "{best_ns} vs {default_ns}");
         // The smooth surface's optimum is reachable by single-knob moves.
         assert_eq!(best.shards, 4);
-        assert_eq!(best.steerers, 1);
-        assert!(best.adaptive_burst);
+        assert_eq!(best.ring_capacity, 512);
+        assert_eq!(best.burst, 32);
+        assert_eq!(best.backoff_spins, 512);
     }
 
     #[test]
@@ -492,7 +432,6 @@ mod tests {
         let c = TuneConfig::default_for(8, 256); // shards and burst at the cap
         for n in space.neighbors(&c) {
             assert!(n.shards >= 1 && n.shards <= space.max_shards);
-            assert!(n.steerers <= space.max_steerers);
             assert!(n.ring_capacity >= space.min_ring && n.ring_capacity <= space.max_ring);
             assert!(n.burst >= space.min_burst && n.burst <= space.max_burst);
             assert_ne!(n, c);
@@ -503,10 +442,8 @@ mod tests {
     fn report_round_trips() {
         let default = TuneConfig::default_for(4, 64);
         let best = TuneConfig {
-            steerers: 2,
             ring_capacity: 512,
-            adaptive_burst: true,
-            pin_cores: true,
+            backoff_spins: 32,
             ..default
         };
         let report = AutotuneReport {
@@ -537,21 +474,37 @@ mod tests {
     fn configs_materialize_as_runtime_options() {
         let c = TuneConfig {
             shards: 4,
-            steerers: 2,
             ring_capacity: 128,
             burst: 16,
             backoff_spins: 64,
-            adaptive_burst: false,
-            pin_cores: true,
         };
         let o = c.to_opts();
         assert_eq!(o.shards, 4);
-        assert_eq!(o.steerers, 2);
         assert_eq!(o.ring_capacity, 128);
         assert_eq!(o.burst, 16);
         assert_eq!(o.backoff_spins, 64);
         assert!(o.batching);
-        assert!(!o.adaptive_burst);
-        assert!(o.pin_cores);
+    }
+
+    #[test]
+    fn older_reports_load_and_ignore_removed_keys() {
+        // The report committed before the search space lost its steerer,
+        // burst-mode and core-pacing dimensions.
+        let text = include_str!("../../../docs/autotune_report.legacy.json");
+        let r = AutotuneReport::from_json(text).unwrap();
+        assert_eq!((r.budget, r.host_cpus), (40, 1));
+        assert_eq!(r.workloads.len(), 2);
+        let w = r.workload("All+batched").unwrap();
+        assert_eq!(w.default, TuneConfig::default_for(4, 64));
+        assert_eq!(
+            w.best,
+            TuneConfig {
+                shards: 1,
+                ring_capacity: 256,
+                burst: 128,
+                backoff_spins: 256,
+            }
+        );
+        assert_eq!((w.default_ns, w.best_ns), (283.33, 208.86));
     }
 }

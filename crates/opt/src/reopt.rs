@@ -627,7 +627,6 @@ impl<E: Engine> MorphDaemon<E> {
         }
         let space = SearchSpace {
             max_shards: 4,
-            max_steerers: 1,
             ..SearchSpace::default()
         };
         let default = TuneConfig::default_for(2, 32);

@@ -345,3 +345,52 @@ fn faulted_pcap_replay_closes_one_ledger_on_both_engines() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One stop rule on both engines: a `run_with_devices` call rides out
+/// an RX outage — while the flapped source is `Down` with a re-open
+/// still scheduled it waits, re-plugs it and replays the rest of the
+/// trace — and returns once the trace ends, even though the TX-only
+/// memory queue never reports exhausted.
+#[test]
+fn one_device_run_rides_out_an_rx_outage_and_stops_at_trace_end() {
+    let dir = std::env::temp_dir().join(format!("click-device-flap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("flap.pcap");
+    write_pcap(&trace, &(0..FRAMES).map(frame).collect::<Vec<_>>()).unwrap();
+    let trace = trace.to_str().unwrap();
+
+    for shards in [1, 2] {
+        let opts = ParallelOpts::new(shards).batched(8);
+        let mut engine = build_engine(&chaos_graph(), false, opts).unwrap();
+        let pcap = PcapBackend::open(trace, None).unwrap();
+        let rx = FaultInjectBackend::parse("DOWN-AFTER 150, DOWN-FOR 2", Box::new(pcap)).unwrap();
+        engine
+            .attach("in0", SupervisedDevice::new(Box::new(rx)))
+            .unwrap();
+        let (out_be, out_q) = MemBackend::with_handles();
+        engine
+            .attach("out0", SupervisedDevice::new(Box::new(out_be)))
+            .unwrap();
+
+        let t0 = Instant::now();
+        let stats = engine.run_with_devices(100_000).unwrap();
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "{shards} shard(s): run_with_devices idled for {elapsed:?} after the trace ended"
+        );
+        let offered = stats.rx as u64;
+        let tx = stats.tx as u64 + engine.drain_tx().len() as u64;
+        assert_eq!(
+            offered, FRAMES as u64,
+            "{shards} shard(s): the whole trace replays in one run"
+        );
+        assert_eq!(offered, tx + engine.drops(), "{shards} shard(s): ledger");
+        assert_eq!(out_q.tx_len() as u64, stats.tx as u64);
+        let g = &engine.device_gauges()[0];
+        assert_eq!(g.device, "in0");
+        assert_eq!(g.reopens, 1, "{shards} shard(s): one re-open: {g:?}");
+        assert_eq!(g.health, "up", "{shards} shard(s): {g:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
